@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 
 namespace pim::par {
 namespace {
@@ -48,7 +49,6 @@ void ThreadPool::drain_batch(Batch& b) {
   for (u32 base = b.next.fetch_add(grain); base < b.count; base = b.next.fetch_add(grain)) {
     const u32 end = b.count - base < grain ? b.count : base + grain;
     for (u32 i = base; i < end; ++i) (*b.task)(i);
-    b.done.fetch_add(end - base, std::memory_order_acq_rel);
   }
 }
 
@@ -62,48 +62,58 @@ void ThreadPool::run_batch(const std::function<void(u32)>& task, u32 count, u32 
     return;
   }
 
-  Batch batch;
-  batch.task = &task;
-  batch.count = count;
   // Coarsen tiny chunks: cap the total number of claims at ~8 per lane so
   // huge batches of cheap bodies are not serialized on the claim counter.
-  batch.grain = std::max(grain, count / (8 * lanes()));
+  grain = std::max(grain, count / (8 * lanes()));
+  const u32 chunks = count / grain + (count % grain != 0);
+  const u32 helpers = std::min(static_cast<u32>(threads_.size()), chunks - 1);
+  Batch batch(task, count, grain, helpers);
   {
     std::lock_guard lock(mu_);
-    batch_ = &batch;
-    ++batch_epoch_;
+    queue_.push_back(&batch);
   }
-  cv_work_.notify_all();
+  if (helpers == threads_.size()) {
+    cv_work_.notify_all();
+  } else {
+    for (u32 i = 0; i < helpers; ++i) cv_work_.notify_one();
+  }
 
-  // The calling thread participates.
-  drain_batch(batch);
-
-  // Wait until every task completed AND every worker has released its
-  // reference to `batch` (it is a stack object).
-  std::unique_lock lock(mu_);
-  cv_done_.wait(lock, [&] {
-    return batch.done.load(std::memory_order_acquire) == count &&
-           batch.refs.load(std::memory_order_acquire) == 0;
-  });
-  batch_ = nullptr;
+  // The calling thread participates. Whatever happens in it, `batch` (a
+  // stack object) must outlive every worker holding a ticket to it.
+  std::exception_ptr failure;
+  try {
+    drain_batch(batch);
+  } catch (...) {
+    failure = std::current_exception();
+  }
+  u32 withdrawn = 0;
+  {
+    std::lock_guard lock(mu_);
+    if (batch.tickets > 0) {
+      withdrawn = batch.tickets;
+      batch.tickets = 0;
+      queue_.erase(std::find(queue_.begin(), queue_.end(), &batch));
+    }
+  }
+  if (withdrawn > 0) batch.helpers_done.count_down(withdrawn);
+  batch.helpers_done.wait();
+  if (failure) std::rethrow_exception(failure);
 }
 
 void ThreadPool::worker_loop() {
   tls_on_worker = true;
-  u64 seen_epoch = 0;
   while (true) {
     Batch* batch = nullptr;
     {
       std::unique_lock lock(mu_);
-      cv_work_.wait(lock, [&] { return stop_ || (batch_ != nullptr && batch_epoch_ != seen_epoch); });
+      cv_work_.wait(lock, [&] { return stop_ || !queue_.empty(); });
       if (stop_) return;
-      batch = batch_;
-      seen_epoch = batch_epoch_;
-      batch->refs.fetch_add(1, std::memory_order_acq_rel);
+      batch = queue_.front();
+      if (--batch->tickets == 0) queue_.pop_front();
     }
     drain_batch(*batch);
-    batch->refs.fetch_sub(1, std::memory_order_acq_rel);
-    cv_done_.notify_one();
+    // Last touch of `batch`: the caller may return as soon as this lands.
+    batch->helpers_done.count_down();
   }
 }
 

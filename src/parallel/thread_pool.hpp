@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <deque>
 #include <functional>
+#include <latch>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -48,11 +50,12 @@ class ThreadPool {
   /// million atomic RMWs. Pass a larger grain for very cheap bodies —
   /// claims stay contiguous, preserving each lane's cache locality.
   ///
-  /// Note this dispatch deliberately wakes ALL workers (notify_all) even
-  /// when the batch has few chunks; idle workers re-check the epoch and
-  /// go back to sleep. A targeted wake would need per-worker state and
-  /// saves little: the expensive case (tiny batch) is now short-circuited
-  /// by the inline fast path above.
+  /// Any number of threads may call this concurrently. Each call owns its
+  /// batch and its completion latch; callers share only the claim queue.
+  /// A batch offers at most chunks - 1 helper tickets. A worker takes a
+  /// ticket, drains, and counts down the latch. Once the caller has
+  /// drained, it withdraws the tickets no worker took and waits only for
+  /// the ticket holders, so a busy pool never delays a finished batch.
   void run_batch(const std::function<void(u32)>& task, u32 count, u32 grain = 1);
 
   /// True if the current thread is one of this pool's workers.
@@ -60,12 +63,15 @@ class ThreadPool {
 
  private:
   struct Batch {
-    const std::function<void(u32)>* task = nullptr;
-    u32 count = 0;
-    u32 grain = 1;             // indices claimed per fetch_add
+    Batch(const std::function<void(u32)>& t, u32 n, u32 g, u32 helpers)
+        : task(&t), count(n), grain(g), tickets(helpers), helpers_done(helpers) {}
+
+    const std::function<void(u32)>* task;
+    u32 count;
+    u32 grain;                // indices claimed per fetch_add
     std::atomic<u32> next{0};
-    std::atomic<u32> done{0};
-    std::atomic<u32> refs{0};  // workers currently holding a pointer
+    u32 tickets;              // helper tickets not yet taken; guarded by mu_
+    std::latch helpers_done;  // one count per ticket, taken or withdrawn
   };
 
   /// Claims [base, base+grain) ranges off `b.next` until the batch is
@@ -74,13 +80,11 @@ class ThreadPool {
 
   void worker_loop();
 
-  std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  Batch* batch_ = nullptr;  // guarded by mu_ for pointer handoff
-  u64 batch_epoch_ = 0;
-  bool stop_ = false;
+  std::deque<Batch*> queue_;  // batches with tickets left; guarded by mu_
+  bool stop_ = false;         // guarded by mu_
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace pim::par

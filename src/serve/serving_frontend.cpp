@@ -496,6 +496,9 @@ void ServingFrontEnd::execute(Window& w) {
 
 void ServingFrontEnd::distribute(Window& w) {
   const u64 done = w.ops();
+  // Counted before any reply is set: a client that has its reply must
+  // see it in stats().completed.
+  stat_completed_.fetch_add(done, std::memory_order_relaxed);
   auto latency = [&](u64 submit_clock) {
     return saturating_sub(w.clock_after, submit_clock);
   };
@@ -535,7 +538,6 @@ void ServingFrontEnd::distribute(Window& w) {
     r.latency_rounds = latency(op.submit_clock);
     op.promise.set_value(std::move(r));
   }
-  stat_completed_.fetch_add(done, std::memory_order_relaxed);
   pending_ops_.fetch_sub(done, std::memory_order_release);
   { std::lock_guard lock(coord_mu_); }
   drained_cv_.notify_all();

@@ -131,7 +131,11 @@ struct ShardOptions {
   /// Target keys copied per migration_step() / repair_step() chunk.
   u64 migration_chunk = 256;
   /// Group-journal records before compaction into the checkpoint (the
-  /// group-level kJournalCompactLimit).
+  /// group-level kJournalCompactLimit). Compaction folds the records
+  /// into the checkpoint in place, O(records · log n) on the acked-write
+  /// path, so the limit does not change the cost per record; a larger
+  /// limit makes read-path replays (digests, quorum-read resolution)
+  /// longer.
   u64 journal_compact_limit = 64;
   /// Consecutive escaped sub-batch failures before a shard is declared
   /// dead (the shard-level circuit breaker).
@@ -470,6 +474,8 @@ class ShardedPimStore {
   void check_invariants() const;
 
  private:
+  /// Applies one record to `m` in place; allocates only for the keys an
+  /// upsert inserts.
   static void apply_record(std::map<Key, Value>& m, const LogRecord& r);
 
   struct Shard {

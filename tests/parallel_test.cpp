@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/cost_model.hpp"
@@ -35,6 +37,67 @@ TEST(ThreadPool, ZeroTasksIsANoop) {
   ThreadPool pool(2);
   const std::function<void(u32)> task = [](u32) { FAIL(); };
   pool.run_batch(task, 0);
+}
+
+// K external threads call run_batch in a tight loop on one pool. Every
+// call must return once its own tasks ran, however the calls interleave.
+// A pool whose callers share a batch slot or a completion signal loses a
+// wakeup here and hangs until the ctest timeout. Threads stay below 16:
+// at most 7 workers + 4 callers + the test thread.
+class ThreadPoolCallers : public ::testing::TestWithParam<u32> {};
+
+TEST_P(ThreadPoolCallers, ConcurrentRunBatchNeverHangs) {
+  ThreadPool pool(GetParam());
+  constexpr u32 kCallers = 4;
+  constexpr u32 kBatches = 20'000;
+  std::atomic<u32> wrong{0};
+  std::vector<std::thread> callers;
+  for (u32 c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (u32 b = 0; b < kBatches; ++b) {
+        const u32 count = 2 + (b * kCallers + c) % 31;
+        std::atomic<u32> sum{0};
+        const std::function<void(u32)> task = [&](u32 i) {
+          // Enough work per index that workers join the batch.
+          volatile u32 spin = 0;
+          for (u32 k = 0; k < 1000; ++k) spin = spin + k;
+          sum.fetch_add(i + 1, std::memory_order_relaxed);
+        };
+        pool.run_batch(task, count);
+        if (sum.load(std::memory_order_relaxed) != count * (count + 1) / 2) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(wrong.load(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, ThreadPoolCallers, ::testing::Values(1u, 3u, 7u));
+
+TEST(ThreadPool, CallerExceptionWaitsForWorkersThenPropagates) {
+  ThreadPool pool(1);
+  // The caller throws only once the worker is inside the batch, and the
+  // worker cannot leave it before the caller has thrown: the caller's
+  // exception always unwinds while the worker holds a ticket to its
+  // stack batch.
+  std::atomic<bool> worker_in{false};
+  std::atomic<bool> caller_threw{false};
+  const std::function<void(u32)> task = [&](u32) {
+    if (ThreadPool::on_worker()) {
+      worker_in.store(true);
+      while (!caller_threw.load()) std::this_thread::yield();
+      return;
+    }
+    while (!worker_in.load()) std::this_thread::yield();
+    caller_threw.store(true);
+    throw std::runtime_error("task failed");
+  };
+  EXPECT_THROW(pool.run_batch(task, 64), std::runtime_error);
+
+  std::atomic<int> sum{0};
+  const std::function<void(u32)> add = [&](u32 i) { sum.fetch_add(static_cast<int>(i)); };
+  pool.run_batch(add, 10);
+  EXPECT_EQ(sum.load(), 45);
 }
 
 TEST(ForkJoin, ParallelForCoversRange) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -567,6 +568,92 @@ TEST(ShardedStore, OpDeadlinePropagatesToReplacementShards) {
         << "slot " << s << " lost the deadline across migration";
   }
   store.check_invariants();
+}
+
+// The group journal's compaction point is invisible: stores that fold
+// their journals after every record, every 3, or every 64 replay to the
+// same contents after every batch, equal to a std::map oracle, and fail
+// over to it. The stream exercises every per-record replay rule:
+// duplicate keys inside an upsert batch (first occurrence wins), updates
+// of absent keys (no insert), and keys deleted then re-upserted later.
+TEST(ShardedStore, JournalCompactionPointIsInvisibleToReplayAndFailover) {
+  constexpr Key kDomain = 1 << 16;
+  const std::vector<u64> limits = {1, 3, 64};
+  rnd::Xoshiro256ss rng(0xC0A1E5CEu);
+  // Keys come from a small grid so batches collide with each other.
+  auto key = [&] { return static_cast<Key>(rng.below(2048) * 32); };
+  Ref oracle;
+  while (oracle.size() < 600) oracle.emplace(key(), rng());
+  const std::vector<std::pair<Key, Value>> pairs(oracle.begin(), oracle.end());
+  std::vector<std::unique_ptr<ShardedPimStore>> stores;
+  for (const u64 limit : limits) {
+    ShardOptions o = small_opts();
+    o.domain_hi = kDomain;
+    o.journal_compact_limit = limit;
+    stores.push_back(std::make_unique<ShardedPimStore>(o));
+    stores.back()->build(pairs);
+  }
+
+  auto expect_replays_match = [&](u32 round, const char* op) {
+    for (u32 g = 0; g < stores[0]->group_count(); ++g) {
+      const auto [lo, hi] = stores[0]->group_range(g);
+      const std::vector<std::pair<Key, Value>> want(oracle.lower_bound(lo),
+                                                    oracle.lower_bound(hi));
+      const u64 want_digest = core::PimSkipList::pairs_digest(want);
+      for (u64 s = 0; s < stores.size(); ++s) {
+        ASSERT_EQ(stores[s]->group_expected_digest(g), want_digest)
+            << "round " << round << " after " << op << ": group " << g
+            << " of the store with journal_compact_limit " << limits[s];
+        EXPECT_LE(stores[s]->group_journal_records(g), limits[s]);
+      }
+    }
+  };
+
+  std::vector<Key> deleted;
+  for (u32 round = 0; round < 30; ++round) {
+    std::vector<std::pair<Key, Value>> ups;
+    for (u32 i = 0; i < 40; ++i) ups.emplace_back(key(), rng());
+    for (u32 i = 0; i < 6; ++i) ups.emplace_back(ups[rng.below(ups.size())].first, rng());
+    for (const Key k : deleted) ups.emplace_back(k, rng());  // re-upsert
+    deleted.clear();
+    for (auto& s : stores) {
+      for (const Status& st : s->batch_upsert(ups)) ASSERT_TRUE(st.ok()) << st.to_string();
+    }
+    test::ref_upsert(oracle, ups);
+    expect_replays_match(round, "upsert");
+
+    std::vector<std::pair<Key, Value>> upd;
+    for (u32 i = 0; i < 8; ++i) upd.emplace_back(test::existing_key(oracle, rng), rng());
+    // Off the grid: never stored.
+    for (u32 i = 0; i < 8; ++i) upd.emplace_back(key() + 1, rng());
+    upd.emplace_back(upd.front().first, rng());
+    for (auto& s : stores) {
+      for (const auto& r : s->batch_update(upd)) ASSERT_TRUE(r.status.ok());
+    }
+    test::ref_update(oracle, upd);
+    expect_replays_match(round, "update");
+
+    for (u32 i = 0; i < 8; ++i) deleted.push_back(test::existing_key(oracle, rng));
+    for (auto& s : stores) {
+      for (const auto& r : s->batch_delete(deleted)) ASSERT_TRUE(r.status.ok());
+    }
+    test::ref_delete(oracle, deleted);
+    expect_replays_match(round, "delete");
+  }
+
+  // Each group has one member: losing it leaves only the checkpoint and
+  // journal, which failover replays into a spare.
+  const std::vector<std::pair<Key, Value>> want(oracle.begin(), oracle.end());
+  for (u64 s = 0; s < stores.size(); ++s) {
+    ShardedPimStore& store = *stores[s];
+    const u32 victim = store.group_members(1).front();
+    store.kill_shard(victim);
+    ASSERT_TRUE(store.failover(victim).ok());
+    const auto all = store.range_collect(kMinKey, kMaxKey);
+    ASSERT_TRUE(all.status.ok());
+    EXPECT_EQ(all.pairs, want) << "journal_compact_limit " << limits[s];
+    store.check_invariants();
+  }
 }
 
 }  // namespace
